@@ -140,103 +140,147 @@ type instance = {
 
 (* Deterministic oracle for a benchmark, when it has one.  Logic cones are
    materialized lazily (and cached) because building them costs a few
-   milliseconds. *)
+   milliseconds; the lock lets instances be built on several domains. *)
 let cone_cache : (int, Aig.Graph.t) Hashtbl.t = Hashtbl.create 32
+let cone_lock = Mutex.create ()
 
 let cone_for id =
-  match Hashtbl.find_opt cone_cache id with
-  | Some g -> g
-  | None ->
-      let g =
-        Logic_bench.cone ~seed:(1000 + id) ~num_inputs:(cone_inputs id) ()
-      in
-      Hashtbl.add cone_cache id g;
-      g
+  Mutex.protect cone_lock (fun () ->
+      match Hashtbl.find_opt cone_cache id with
+      | Some g -> g
+      | None ->
+          let g =
+            Logic_bench.cone ~seed:(1000 + id) ~num_inputs:(cone_inputs id) ()
+          in
+          Hashtbl.add cone_cache id g;
+          g)
 
-let oracle spec : (bool array -> bool) option =
+(* Where a benchmark's samples come from: a per-row oracle, a logic cone
+   simulated word-parallel over a whole set's columns, or the synthetic
+   image source with its Table II comparison. *)
+type source =
+  | Oracle of (bool array -> bool)
+  | Cone of Aig.Graph.t
+  | Images of Image_bench.t * int
+
+let source spec =
   let id = spec.id in
   match spec.category with
   | Adder ->
       let k = adder_widths.(id / 2) in
       let bit = if id mod 2 = 0 then k else k - 1 in
-      Some (Arith_bench.adder_bit ~k ~bit)
+      Oracle (Arith_bench.adder_bit ~k ~bit)
   | Divider ->
       let k = adder_widths.((id - 10) / 2) in
-      if id mod 2 = 0 then Some (Arith_bench.divider_msb ~k)
-      else Some (Arith_bench.remainder_msb ~k)
+      if id mod 2 = 0 then Oracle (Arith_bench.divider_msb ~k)
+      else Oracle (Arith_bench.remainder_msb ~k)
   | Multiplier ->
       let k = multiplier_widths.((id - 20) / 2) in
       let bit = if id mod 2 = 0 then (2 * k) - 1 else k - 1 in
-      Some (Arith_bench.multiplier_bit ~k ~bit)
+      Oracle (Arith_bench.multiplier_bit ~k ~bit)
   | Comparator ->
       let k = 10 * (id - 30 + 1) in
-      Some (Arith_bench.comparator ~k)
+      Oracle (Arith_bench.comparator ~k)
   | Square_root ->
       let k = adder_widths.((id - 40) / 2) in
       let bit = if id mod 2 = 0 then 0 else (k + 1) / 4 in
-      Some (Arith_bench.sqrt_bit ~k ~bit)
-  | Logic_cone -> Some (Logic_bench.oracle (cone_for id))
+      Oracle (Arith_bench.sqrt_bit ~k ~bit)
+  | Logic_cone -> Cone (cone_for id)
   | Symmetric ->
-      if id = 74 then Some Arith_bench.parity
-      else Some (Arith_bench.symmetric ~signature:symmetric_signatures.(id - 75))
-  | Mnist_like | Cifar_like -> None
+      if id = 74 then Oracle Arith_bench.parity
+      else Oracle (Arith_bench.symmetric ~signature:symmetric_signatures.(id - 75))
+  | Mnist_like -> Images (Image_bench.create Image_bench.Mnist ~seed:77, id - 80)
+  | Cifar_like -> Images (Image_bench.create Image_bench.Cifar ~seed:78, id - 90)
 
-let image_source spec =
-  match spec.category with
-  | Mnist_like -> Some (Image_bench.create Image_bench.Mnist ~seed:77, spec.id - 80)
-  | Cifar_like -> Some (Image_bench.create Image_bench.Cifar ~seed:78, spec.id - 90)
-  | Adder | Divider | Multiplier | Comparator | Square_root | Logic_cone
-  | Symmetric ->
-      None
+(* Rows are input vectors packed 8 bits per byte, bit [i] in byte [i / 8];
+   [f] is called on [0 .. n-1] in order. *)
+let pack n f =
+  Bytes.init ((n + 7) / 8) (fun byte ->
+      let acc = ref 0 in
+      for k = 0 to min 8 (n - (8 * byte)) - 1 do
+        if f ((8 * byte) + k) then acc := !acc lor (1 lsl k)
+      done;
+      Char.unsafe_chr !acc)
 
-let random_bits st n = Array.init n (fun _ -> Random.State.bool st)
-
-(* Key for duplicate detection across the three sets. *)
-let key_of_bits bits =
-  String.init (Array.length bits) (fun i -> if bits.(i) then '1' else '0')
+let row_bit row i = (Char.code (Bytes.get row (i lsr 3)) lsr (i land 7)) land 1
 
 (* Duplicate-free sampling: input vectors are unique across all three
-   sets, so a deterministic oracle never labels the same vector twice. *)
-let sample_disjoint st ~num_inputs ~total f =
+   sets, so a deterministic oracle never labels the same vector twice.
+   One [Random.State.bool] per input bit, at most [20 * total] draws; the
+   rows come back in reverse draw order, the order the sets are cut in. *)
+let sample_disjoint st ~num_inputs ~total =
   let seen = Hashtbl.create (2 * total) in
   let rec draw acc remaining guard =
     if remaining = 0 || guard = 0 then acc
     else begin
-      let bits = random_bits st num_inputs in
-      let key = key_of_bits bits in
-      if Hashtbl.mem seen key then draw acc remaining (guard - 1)
+      let row = pack num_inputs (fun _ -> Random.State.bool st) in
+      if Hashtbl.mem seen row then draw acc remaining (guard - 1)
       else begin
-        Hashtbl.add seen key ();
-        draw ((bits, f bits) :: acc) (remaining - 1) (guard - 1)
+        Hashtbl.add seen row ();
+        draw (row :: acc) (remaining - 1) (guard - 1)
       end
     end
   in
-  draw [] total (20 * total)
+  Array.of_list (draw [] total (20 * total))
 
-let split_sets ~(sizes : sizes) spec rows =
-  let d = Data.Dataset.create ~num_inputs:spec.num_inputs rows in
-  let train, rest = Data.Dataset.split_at d (min sizes.train (Data.Dataset.num_samples d)) in
-  let valid, test =
-    Data.Dataset.split_at rest (min sizes.valid (Data.Dataset.num_samples rest))
+(* Input column [i] of rows [lo, lo + len), assembled a word at a time. *)
+let column rows ~lo ~len i =
+  let c = Words.create len in
+  for w = 0 to Words.num_words len - 1 do
+    let base = lo + (w * Words.bits_per_word) in
+    let acc = ref 0 in
+    for k = min Words.bits_per_word (len - (w * Words.bits_per_word)) - 1 downto 0 do
+      acc := (!acc lsl 1) lor row_bit rows.(base + k) i
+    done;
+    Words.set_word c w !acc
+  done;
+  c
+
+(* Cut the rows into train, valid and test, in that order.  [outputs]
+   gives the label column of rows [lo, lo + len) from their input
+   columns. *)
+let split_sets ~(sizes : sizes) spec rows outputs =
+  let m = Array.length rows in
+  let n_train = min sizes.train m in
+  let n_valid = min sizes.valid (m - n_train) in
+  let set lo len =
+    let cols = Array.init spec.num_inputs (column rows ~lo ~len) in
+    Data.Dataset.of_columns cols (outputs ~lo ~len cols)
   in
-  { spec; train; valid; test }
+  {
+    spec;
+    train = set 0 n_train;
+    valid = set n_train n_valid;
+    test = set (n_train + n_valid) (m - n_train - n_valid);
+  }
 
-let instantiate_oracle ?(sizes = contest_sizes) ~key ~spec f =
+let given labels ~lo ~len _ = Words.init len (fun j -> labels.(lo + j))
+
+(* Every distinct row is drawn before any is labelled: the dedupe never
+   reads a label, so the draws are those of labelling row by row.
+   [outputs rows] labels the sets cut from [rows]. *)
+let sample ~(sizes : sizes) ~key ~spec outputs =
   let st = Random.State.make key in
   let total = sizes.train + sizes.valid + sizes.test in
-  split_sets ~sizes spec (sample_disjoint st ~num_inputs:spec.num_inputs ~total f)
+  let rows = sample_disjoint st ~num_inputs:spec.num_inputs ~total in
+  split_sets ~sizes spec rows (outputs rows)
+
+let instantiate_oracle ?(sizes = contest_sizes) ~key ~spec f =
+  let n = spec.num_inputs in
+  sample ~sizes ~key ~spec (fun rows ->
+      given (Array.map (fun row -> f (Array.init n (fun i -> row_bit row i = 1))) rows))
 
 let instantiate ?(sizes = contest_sizes) ~seed spec =
   let key = [| 0xbe7c; seed; spec.id |] in
-  match oracle spec with
-  | Some f -> instantiate_oracle ~sizes ~key ~spec f
-  | None ->
+  match source spec with
+  | Oracle f -> instantiate_oracle ~sizes ~key ~spec f
+  | Cone g -> sample ~sizes ~key ~spec (fun _ ~lo:_ ~len:_ cols -> Aig.Sim.simulate g cols)
+  | Images (images, comparison) ->
       let st = Random.State.make key in
       let total = sizes.train + sizes.valid + sizes.test in
-      let rows =
-        match image_source spec with
-        | Some (images, comparison) ->
-            List.init total (fun _ -> Image_bench.sample images ~comparison st)
-        | None -> assert false
+      let samples =
+        Array.init total (fun _ -> Image_bench.sample images ~comparison st)
       in
-      split_sets ~sizes spec rows
+      split_sets ~sizes spec
+        (Array.map (fun (pixels, _) -> pack spec.num_inputs (Array.get pixels)) samples)
+        (given (Array.map snd samples))

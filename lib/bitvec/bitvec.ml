@@ -20,6 +20,9 @@ let normalize v =
 
 let width v = v.width
 
+(* Limb [j] of [v]; limbs outside the backing array read as 0. *)
+let limb v j = if j >= 0 && j < Array.length v.words then v.words.(j) else 0
+
 let zero w =
   if w < 0 then invalid_arg "Bitvec.zero: negative width";
   { width = w; words = Array.make (num_words w) 0 }
@@ -53,13 +56,11 @@ let of_int ~width:w v =
   normalize out
 
 let to_int v =
-  let acc = ref 0 in
-  for i = v.width - 1 downto 0 do
-    if !acc >= 1 lsl (Sys.int_size - 3) then
-      failwith "Bitvec.to_int: value too large";
-    acc := (!acc lsl 1) lor (if get v i then 1 else 0)
+  (* Limb 0 holds 62 bits, exactly the range of a non-negative int. *)
+  for i = 1 to Array.length v.words - 1 do
+    if v.words.(i) <> 0 then failwith "Bitvec.to_int: value too large"
   done;
-  !acc
+  if Array.length v.words = 0 then 0 else v.words.(0)
 
 let of_bits a =
   let v = zero (Array.length a) in
@@ -73,28 +74,17 @@ let of_bits a =
 
 let to_bits v = Array.init v.width (get v)
 
-let equal a b =
-  (* Value equality irrespective of width. *)
-  let la = Array.length a.words and lb = Array.length b.words in
-  let rec go i =
-    if i >= max la lb then true
-    else
-      let wa = if i < la then a.words.(i) else 0
-      and wb = if i < lb then b.words.(i) else 0 in
-      wa = wb && go (i + 1)
-  in
-  go 0
-
 let compare a b =
-  let la = Array.length a.words and lb = Array.length b.words in
   let rec go i =
     if i < 0 then 0
     else
-      let wa = if i < la then a.words.(i) else 0
-      and wb = if i < lb then b.words.(i) else 0 in
+      let wa = limb a i and wb = limb b i in
       if wa <> wb then Stdlib.compare wa wb else go (i - 1)
   in
-  go (max la lb - 1)
+  go (max (Array.length a.words) (Array.length b.words) - 1)
+
+(* Value equality irrespective of width. *)
+let equal a b = compare a b = 0
 
 let is_zero v = Array.for_all (fun w -> w = 0) v.words
 
@@ -151,53 +141,62 @@ let extract v ~lo ~len =
     invalid_arg "Bitvec.extract: range out of bounds";
   blit_right (zero len) v ~wk:(lo / bits_per_word) ~r:(lo mod bits_per_word)
 
+(* [a + b] modulo [2^w]. *)
 let add_full a b w =
   let out = zero w in
-  let n = Array.length out.words in
   let carry = ref 0 in
-  for i = 0 to n - 1 do
-    let wa = if i < Array.length a.words then a.words.(i) else 0
-    and wb = if i < Array.length b.words then b.words.(i) else 0 in
-    let s = wa + wb + !carry in
+  for i = 0 to Array.length out.words - 1 do
+    let s = limb a i + limb b i + !carry in
     out.words.(i) <- s land word_mask;
     carry := s lsr bits_per_word
   done;
-  (normalize out, !carry)
+  normalize out
 
-let add a b =
-  let w = max a.width b.width in
-  fst (add_full a b w)
+let add a b = add_full a b (max a.width b.width)
 
 let add_carry a b =
   if a.width <> b.width then invalid_arg "Bitvec.add_carry: width mismatch";
-  let sum, c = add_full a b a.width in
-  (* Carry out of the declared width, not of the word array. *)
-  let r = a.width mod bits_per_word in
-  if r = 0 then (sum, c <> 0)
-  else begin
-    (* Recompute the bit that overflowed past [width]. *)
-    let wide, _ = add_full a b (a.width + 1) in
-    (sum, get wide a.width)
-  end
+  let wide = add_full a b (a.width + 1) in
+  (extract wide ~lo:0 ~len:a.width, get wide a.width)
 
-let sub a b =
-  let w = max a.width b.width in
-  let out = zero w in
-  let n = Array.length out.words in
+(* Limb-level helpers for the in-place arithmetic below.  A limb source is
+   a function from limb index to limb value, so operands that are shifts
+   or truncations of a vector are read on the fly instead of built. *)
+
+(* [xs >= y], comparing limbs [hi] down to [lo].  Exact when [y] has no
+   bits below limb [lo] or above limb [hi]. *)
+let limbs_geq xs y ~lo ~hi =
+  let rec go j =
+    if j < lo then true
+    else
+      let yj = y j in
+      if xs.(j) <> yj then xs.(j) > yj else go (j - 1)
+  in
+  go hi
+
+(* [xs := xs - y] in place from limb [lo] up, for a [y] with no bits
+   below limb [lo]; the final borrow is dropped (modular difference). *)
+let limbs_sub xs y ~lo =
   let borrow = ref 0 in
-  for i = 0 to n - 1 do
-    let wa = if i < Array.length a.words then a.words.(i) else 0
-    and wb = if i < Array.length b.words then b.words.(i) else 0 in
-    let d = wa - wb - !borrow in
+  for j = lo to Array.length xs - 1 do
+    let d = xs.(j) - y j - !borrow in
     if d < 0 then begin
-      out.words.(i) <- d + (1 lsl bits_per_word);
+      xs.(j) <- d + (1 lsl bits_per_word);
       borrow := 1
     end
     else begin
-      out.words.(i) <- d;
+      xs.(j) <- d;
       borrow := 0
     end
-  done;
+  done
+
+let set_bit_in_place v i =
+  let w = i / bits_per_word in
+  v.words.(w) <- v.words.(w) lor (1 lsl (i mod bits_per_word))
+
+let sub a b =
+  let out = zero_extend a (max a.width b.width) in
+  limbs_sub out.words (limb b) ~lo:0;
   normalize out
 
 let shift_left v k =
@@ -210,44 +209,85 @@ let shift_right v k =
   if k < 0 then invalid_arg "Bitvec.shift_right: negative shift";
   blit_right (zero v.width) v ~wk:(k / bits_per_word) ~r:(k mod bits_per_word)
 
-let mul a b =
-  (* Schoolbook shift-and-add at the full product width. *)
-  let w = max 1 (a.width + b.width) in
-  let wide_a = zero_extend a w in
-  let acc = ref (zero w) in
-  for i = 0 to b.width - 1 do
-    if get b i then acc := add !acc (shift_left wide_a i)
-  done;
-  !acc
+(* Column-wise (Comba) product over 31-bit half-limbs: each column sum is
+   kept as [lo + hi * 2^31] so no partial product overflows a native int,
+   and every finished half-limb is written straight into the result. *)
+let half = bits_per_word / 2
+let half_mask = (1 lsl half) - 1
+let half_limb v k = (v.words.(k / 2) lsr (half * (k land 1))) land half_mask
 
+let mul a b =
+  let out = zero (max 1 (a.width + b.width)) in
+  let na = 2 * Array.length a.words and nb = 2 * Array.length b.words in
+  let lo = ref 0 and hi = ref 0 in
+  for k = 0 to (2 * Array.length out.words) - 1 do
+    for i = max 0 (k - nb + 1) to min k (na - 1) do
+      let p = half_limb a i * half_limb b (k - i) in
+      lo := !lo + (p land half_mask);
+      hi := !hi + (p lsr half)
+    done;
+    out.words.(k / 2) <-
+      out.words.(k / 2) lor ((!lo land half_mask) lsl (half * (k land 1)));
+    lo := (!lo lsr half) + !hi;
+    hi := 0
+  done;
+  out
+
+(* Restoring division on the limbs of [q] and [r]: shift one bit of [a]
+   into [r], subtract the divisor when it fits.  The divisor is [b] taken
+   modulo [2^width a]; [r] stays below it, so it never outgrows [width a]. *)
 let divmod a b =
   if is_zero b then raise Division_by_zero;
-  let q = ref (zero a.width) and r = ref (zero a.width) in
-  let bw = zero_extend b (max a.width b.width) in
-  let bw = extract bw ~lo:0 ~len:a.width in
-  for i = a.width - 1 downto 0 do
-    r := shift_left !r 1;
-    if get a i then r := set !r 0 true;
-    if compare !r bw >= 0 then begin
-      r := sub !r bw;
-      q := set !q i true
+  let w = a.width in
+  let q = zero w and r = zero w in
+  let n = Array.length r.words in
+  let top_mask =
+    match w mod bits_per_word with 0 -> word_mask | top -> (1 lsl top) - 1
+  in
+  let d j = if j = n - 1 then limb b j land top_mask else limb b j in
+  for i = w - 1 downto 0 do
+    let carry = ref (if get a i then 1 else 0) in
+    for j = 0 to n - 1 do
+      let x = r.words.(j) in
+      r.words.(j) <- ((x lsl 1) land word_mask) lor !carry;
+      carry := x lsr (bits_per_word - 1)
+    done;
+    if limbs_geq r.words d ~lo:0 ~hi:(n - 1) then begin
+      limbs_sub r.words d ~lo:0;
+      set_bit_in_place q i
     end
   done;
-  (!q, !r)
+  (q, r)
 
+(* Digit-by-digit square root.  Before step [i] the root so far is
+   [R = root >> (i + 1)] and [x] holds [v - R^2 * 4^(i+1)]; bringing down
+   bit pair [i] and comparing the remainder with [4R + 1] is the same as
+   comparing [x] with [T = (4R + 1) * 4^i = (root << (i + 1)) + 4^i],
+   whose limbs are read on the fly. *)
 let isqrt v =
   let out_w = (v.width + 1) / 2 in
-  let root = ref (zero (max 1 out_w)) in
-  (* Binary search bit by bit from the top. *)
+  let root = zero (max 1 out_w) in
+  let x = Array.copy v.words in
   for i = out_w - 1 downto 0 do
-    let candidate = set !root i true in
-    let c = zero_extend candidate v.width in
-    let sq = mul c c in
-    let sq = extract sq ~lo:0 ~len:(min (width sq) (2 * v.width)) in
-    let target = zero_extend v (width sq) in
-    if compare sq target <= 0 then root := candidate
+    let s = i + 1 in
+    let ws = s / bits_per_word and rs = s mod bits_per_word in
+    let lo = 2 * i / bits_per_word in
+    let t j =
+      let shifted = (limb root (j - ws) lsl rs) land word_mask in
+      let shifted =
+        if rs = 0 then shifted
+        else shifted lor (limb root (j - ws - 1) lsr (bits_per_word - rs))
+      in
+      if j = lo then shifted lor (1 lsl (2 * i mod bits_per_word)) else shifted
+    in
+    (* [T] fits the limbs of [x]: it can reach [2^width] only when
+       [width] is odd, and an odd width never fills its top limb. *)
+    if limbs_geq x t ~lo ~hi:(Array.length x - 1) then begin
+      limbs_sub x t ~lo;
+      set_bit_in_place root i
+    end
   done;
-  !root
+  root
 
 let popcount v =
   Array.fold_left

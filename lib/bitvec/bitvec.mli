@@ -1,9 +1,17 @@
-(** Arbitrary-width unsigned bit vectors with schoolbook arithmetic.
+(** Arbitrary-width unsigned bit vectors with limb-level arithmetic.
 
     The benchmark generators need exact arithmetic on words of up to 256 bits
     (adders, multipliers, dividers, square rooters).  A bit vector of width
     [w] represents an unsigned integer in [0, 2^w).  Bit 0 is the least
-    significant bit.  All operations are pure. *)
+    significant bit.  All operations are pure.
+
+    Values are stored in 62-bit limbs.  {!mul} is a column-wise (Comba)
+    product over 31-bit half-limbs, {!divmod} is restoring division and
+    {!isqrt} the digit-by-digit (two bits per step) method.  All three
+    work in place on the limbs of the vectors they return: the only
+    vectors they allocate are their results ({!isqrt} also copies its
+    argument's limbs as the running remainder), and no step copies a
+    vector per bit. *)
 
 type t
 
@@ -22,7 +30,7 @@ val of_int : width:int -> int -> t
 
 val to_int : t -> int
 (** Value as a native integer.  Raises [Failure] if it does not fit in
-    [Sys.int_size - 1] bits. *)
+    [Sys.int_size - 1] bits, i.e. exceeds [max_int]. *)
 
 val of_bits : bool array -> t
 (** [of_bits a] has bit [i] equal to [a.(i)] (index 0 = LSB). *)
@@ -64,11 +72,14 @@ val mul : t -> t -> t
 (** Full product: result width = width a + width b. *)
 
 val divmod : t -> t -> t * t
-(** [divmod a b] is (quotient, remainder) with widths of [a].
+(** [divmod a b] is (quotient, remainder) with widths of [a].  A [b]
+    wider than [a] is first taken modulo [2^(width a)]; if that leaves 0,
+    the quotient is all ones and the remainder is [a].
     Raises [Division_by_zero] when [b] is zero. *)
 
 val isqrt : t -> t
-(** Integer square root, result has [(width + 1) / 2] bits. *)
+(** Integer square root (floor), result has [max 1 ((width + 1) / 2)]
+    bits. *)
 
 val popcount : t -> int
 

@@ -24,9 +24,11 @@ type run = {
   per_team : (string * Score.metrics list) list;
 }
 
-let instances_of config =
-  List.map (fun id -> S.instantiate ~sizes:config.sizes ~seed:config.seed (S.benchmark id))
-    config.ids
+let instances_of ?(jobs = 1) config =
+  Parallel.Pool.with_pool ~jobs (fun pool ->
+      Parallel.Pool.map pool
+        (fun id -> S.instantiate ~sizes:config.sizes ~seed:config.seed (S.benchmark id))
+        config.ids)
 
 let task_key (solver : Solver.t) (inst : S.instance) =
   Printf.sprintf "%s/%s" solver.Solver.name inst.S.spec.S.name
@@ -204,7 +206,9 @@ let solve_grid ?(teams = Teams.all) ?(progress = true) ?(jobs = 1) ?time_limit
 let run_suite ?(teams = Teams.all) ?(progress = true) ?(jobs = 1) ?time_limit
     ?fuel ?journal config =
   phase_span "suite" @@ fun () ->
-  let instances = phase_span "suite.instantiate" (fun () -> instances_of config) in
+  let instances =
+    phase_span "suite.instantiate" (fun () -> instances_of ~jobs config)
+  in
   let per_team =
     solve_grid ~teams ~progress ~jobs ?time_limit ?fuel ?journal instances
   in

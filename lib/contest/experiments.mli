@@ -22,6 +22,11 @@ type run = {
   per_team : (string * Score.metrics list) list;
 }
 
+val instances_of : ?jobs:int -> config -> Benchgen.Suite.instance list
+(** Instantiate [config.ids] in order, across [jobs] domains (default 1).
+    Each instance depends only on [(config.seed, id, config.sizes)], so
+    the list is identical for any [jobs] count. *)
+
 val run_suite :
   ?teams:Solver.t list ->
   ?progress:bool ->
@@ -33,10 +38,11 @@ val run_suite :
   run
 (** Instantiate the benchmarks and run every solver on every benchmark.
     [progress] (default true) logs one line per (team, benchmark) to
-    stderr.  [jobs] (default 1) fans the team-by-benchmark grid across
-    that many domains; every solver threads explicit seeds, so the
-    resulting {!run} is bit-identical for any [jobs] count — only the
-    stderr progress interleaving differs.
+    stderr.  [jobs] (default 1) fans the instantiation ({!instances_of})
+    and the team-by-benchmark grid across that many domains; every
+    solver threads explicit seeds, so the resulting {!run} is
+    bit-identical for any [jobs] count — only the stderr progress
+    interleaving differs.
 
     Every task runs under {!Solver.solve_guarded}: [time_limit] seconds
     and/or [fuel] budget ticks per attempt, one retry on a crash, and a

@@ -172,6 +172,39 @@ let test_parse_ids () =
   err "";
   err "1,,2"
 
+(* The suite's data, pinned: MD5 over every id's train/valid/test at
+   200/100/100 samples, seed 3.  Each set contributes "inputs/samples;"
+   then every input column and the output column as its packed words in
+   hex, comma-separated, each column closed by ';'.  Any change to a
+   label, to the row order or to the RNG stream changes the digest; a
+   deliberate one must update it and say why. *)
+let suite_digest () =
+  let buf = Buffer.create (1 lsl 20) in
+  let add d =
+    Buffer.add_string buf
+      (Printf.sprintf "%d/%d;" (D.num_inputs d) (D.num_samples d));
+    let col c =
+      for i = 0 to Words.num_words (Words.length c) - 1 do
+        Buffer.add_string buf (Printf.sprintf "%x," (Words.word c i))
+      done;
+      Buffer.add_char buf ';'
+    in
+    Array.iter col (D.columns d);
+    col (D.outputs d)
+  in
+  Array.iter
+    (fun b ->
+      let inst = S.instantiate ~sizes:small ~seed:3 b in
+      add inst.S.train;
+      add inst.S.valid;
+      add inst.S.test)
+    S.benchmarks;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_suite_digest_pinned () =
+  check_string "all 100 ids, 200/100/100, seed 3"
+    "6070d11349b1e3aadcf235d619d4c5c6" (suite_digest ())
+
 let suites =
   [ ( "benchgen",
       [ Alcotest.test_case "suite shape" `Quick test_suite_shape;
@@ -188,5 +221,6 @@ let suites =
         Alcotest.test_case "contest sizes" `Quick test_contest_sizes;
         Alcotest.test_case "symmetric widths" `Quick test_symmetric_signatures_length;
         Alcotest.test_case "divider conventions" `Quick test_divider_conventions;
-        Alcotest.test_case "parse ids" `Quick test_parse_ids ]
+        Alcotest.test_case "parse ids" `Quick test_parse_ids;
+        Alcotest.test_case "suite data pinned" `Quick test_suite_digest_pinned ]
     ) ]

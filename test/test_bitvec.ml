@@ -210,6 +210,126 @@ let word_level_properties =
         Bitvec.equal (Bitvec.concat ~hi ~lo) (oracle_concat ~hi ~lo));
   ]
 
+(* The bit-serial mul/divmod/isqrt that the limb-level ones replaced,
+   kept as references: the new versions must match them in value and in
+   width, across limb boundaries (62 bits) and at width 0. *)
+let ref_mul a b =
+  let w = max 1 (Bitvec.width a + Bitvec.width b) in
+  let wide_a = Bitvec.zero_extend a w in
+  let acc = ref (Bitvec.zero w) in
+  for i = 0 to Bitvec.width b - 1 do
+    if Bitvec.get b i then acc := Bitvec.add !acc (Bitvec.shift_left wide_a i)
+  done;
+  !acc
+
+let ref_divmod a b =
+  if Bitvec.is_zero b then raise Division_by_zero;
+  let wa = Bitvec.width a in
+  let q = ref (Bitvec.zero wa) and r = ref (Bitvec.zero wa) in
+  let bw = Bitvec.zero_extend b (max wa (Bitvec.width b)) in
+  let bw = Bitvec.extract bw ~lo:0 ~len:wa in
+  for i = wa - 1 downto 0 do
+    r := Bitvec.shift_left !r 1;
+    if Bitvec.get a i then r := Bitvec.set !r 0 true;
+    if Bitvec.compare !r bw >= 0 then begin
+      r := Bitvec.sub !r bw;
+      q := Bitvec.set !q i true
+    end
+  done;
+  (!q, !r)
+
+let ref_isqrt v =
+  let w = Bitvec.width v in
+  let out_w = (w + 1) / 2 in
+  let root = ref (Bitvec.zero (max 1 out_w)) in
+  for i = out_w - 1 downto 0 do
+    let candidate = Bitvec.set !root i true in
+    let c = Bitvec.zero_extend candidate w in
+    let sq = ref_mul c c in
+    let sq = Bitvec.extract sq ~lo:0 ~len:(min (Bitvec.width sq) (2 * w)) in
+    if Bitvec.compare sq (Bitvec.zero_extend v (Bitvec.width sq)) <= 0 then
+      root := candidate
+  done;
+  !root
+
+let same a b = Bitvec.width a = Bitvec.width b && Bitvec.equal a b
+
+(* Operands of width 0-300: all zeros, all ones, the value 1, uniform
+   random, or a random value narrower than its width (leading zeros). *)
+let operand_arb =
+  QCheck.make
+    ~print:(fun (w, kind, seed) ->
+      Printf.sprintf "width=%d kind=%d seed=%d" w kind seed)
+    QCheck.Gen.(triple (int_range 0 300) (int_bound 4) (int_bound 1_000_000))
+
+let operand (w, kind, seed) =
+  let st = Random.State.make [| 0x5e7; seed |] in
+  match kind with
+  | 0 -> Bitvec.zero w
+  | 1 -> Bitvec.lognot (Bitvec.zero w)
+  | 2 -> if w = 0 then Bitvec.zero 0 else Bitvec.one w
+  | 3 -> Bitvec.random st w
+  | _ ->
+      let lo = Random.State.int st (w + 1) in
+      Bitvec.zero_extend (Bitvec.random st lo) w
+
+let plus_one v =
+  let w = Bitvec.width v + 1 in
+  Bitvec.add (Bitvec.zero_extend v w) (Bitvec.one w)
+
+let limb_properties =
+  [ prop "mul matches reference" (QCheck.pair operand_arb operand_arb)
+      (fun (x, y) ->
+        let a = operand x and b = operand y in
+        same (Bitvec.mul a b) (ref_mul a b));
+    prop "divmod matches reference" (QCheck.pair operand_arb operand_arb)
+      (fun (x, y) ->
+        let a = operand x and b = operand y in
+        QCheck.assume (not (Bitvec.is_zero b));
+        let q, r = Bitvec.divmod a b and q', r' = ref_divmod a b in
+        same q q' && same r r');
+    QCheck.Test.make ~count:100 ~name:"isqrt matches reference" operand_arb
+      (fun x ->
+        let v = operand x in
+        same (Bitvec.isqrt v) (ref_isqrt v));
+    prop "isqrt brackets its argument" operand_arb (fun x ->
+        let v = operand x in
+        let r = Bitvec.isqrt v in
+        Bitvec.compare (Bitvec.mul r r) v <= 0
+        && Bitvec.compare (Bitvec.mul (plus_one r) (plus_one r)) v > 0);
+    prop "divmod satisfies q*b + r = a and r < b"
+      (QCheck.pair operand_arb operand_arb) (fun (x, y) ->
+        let a = operand x and b = operand y in
+        (* A divisor no wider than the dividend is used as is. *)
+        let b =
+          Bitvec.extract b ~lo:0 ~len:(min (Bitvec.width a) (Bitvec.width b))
+        in
+        QCheck.assume (not (Bitvec.is_zero b));
+        let q, r = Bitvec.divmod a b in
+        Bitvec.equal (Bitvec.add (Bitvec.mul q b) r) a
+        && Bitvec.compare r b < 0);
+  ]
+
+let test_limb_edges () =
+  check_int "isqrt width 0" 1 (Bitvec.width (Bitvec.isqrt (Bitvec.zero 0)));
+  check_int "mul width 0" 1 (Bitvec.width (Bitvec.mul (Bitvec.zero 0) (Bitvec.zero 0)));
+  let q, r = Bitvec.divmod (Bitvec.zero 0) (Bitvec.one 5) in
+  check_int "divmod width 0" 0 (Bitvec.width q + Bitvec.width r);
+  let ones = Bitvec.lognot (Bitvec.zero 256) in
+  let q, r = Bitvec.divmod ones (Bitvec.one 256) in
+  check_bool "divide by 1" true (same q ones && Bitvec.is_zero r);
+  check_bool "isqrt (2^256 - 1)" true
+    (same (Bitvec.isqrt ones) (Bitvec.lognot (Bitvec.zero 128)))
+
+let test_to_int_range () =
+  check_int "2^61" (1 lsl 61) (Bitvec.to_int (Bitvec.of_int ~width:62 (1 lsl 61)));
+  check_int "max_int" max_int (Bitvec.to_int (Bitvec.of_int ~width:62 max_int));
+  check_int "max_int, wide" max_int
+    (Bitvec.to_int (Bitvec.of_int ~width:200 max_int));
+  check_int "width 0" 0 (Bitvec.to_int (Bitvec.zero 0));
+  Alcotest.check_raises "2^62" (Failure "Bitvec.to_int: value too large")
+    (fun () -> ignore (Bitvec.to_int (Bitvec.set (Bitvec.zero 63) 62 true)))
+
 let suites =
   [ ( "bitvec",
       [ Alcotest.test_case "of_int/to_int" `Quick test_of_to_int;
@@ -219,7 +339,10 @@ let suites =
         Alcotest.test_case "wide divmod" `Quick test_divmod_wide;
         Alcotest.test_case "concat/extract" `Quick test_concat_extract;
         Alcotest.test_case "isqrt exact" `Quick test_isqrt_exact;
-        Alcotest.test_case "errors" `Quick test_errors ]
+        Alcotest.test_case "errors" `Quick test_errors;
+        Alcotest.test_case "limb arithmetic edges" `Quick test_limb_edges;
+        Alcotest.test_case "to_int range" `Quick test_to_int_range ]
       @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-          (properties @ structural_properties @ word_level_properties) ) ]
+          (properties @ structural_properties @ word_level_properties
+         @ limb_properties) ) ]
 

@@ -176,6 +176,22 @@ let test_run_suite_jobs_identical () =
   check_bool "per-team metrics bit-identical" true
     (r1.Contest.Experiments.per_team = r4.Contest.Experiments.per_team)
 
+let test_instances_jobs_identical () =
+  (* Instantiation across the pool (the logic-cone cache is shared by the
+     domains) yields the same instances as a sequential pass.  The
+     parallel pass runs first, while cones may still be uncached. *)
+  let config =
+    {
+      Contest.Experiments.sizes = { Benchgen.Suite.train = 60; valid = 30; test = 30 };
+      seed = 11;
+      ids = List.init 100 Fun.id;
+    }
+  in
+  let i4 = Contest.Experiments.instances_of ~jobs:4 config in
+  let i1 = Contest.Experiments.instances_of ~jobs:1 config in
+  check_int "instances" 100 (List.length i4);
+  check_bool "instances identical at jobs 1 and 4" true (i1 = i4)
+
 let suites =
   [ ( "parallel",
       [ Alcotest.test_case "deque claims" `Quick test_deque_claims_each_once;
@@ -187,5 +203,7 @@ let suites =
           test_pool_reusable_after_failure;
         Alcotest.test_case "run isolated" `Quick test_run_isolated;
         Alcotest.test_case "cv pool equivalence" `Quick test_cv_pool_equivalence;
+        Alcotest.test_case "instances jobs identical" `Quick
+          test_instances_jobs_identical;
         Alcotest.test_case "run_suite jobs identical" `Slow
           test_run_suite_jobs_identical ] ) ]
